@@ -4,7 +4,7 @@ PYTHON ?= python3
 SCALE ?= small
 JOBS ?= 1
 
-.PHONY: install lint test test-fast bench bench-tiny bench-json bench-refresh perf-smoke serve-smoke figures experiments grid-fast trace-demo tune-fast validate clean
+.PHONY: install lint test test-fast bench bench-tiny bench-json bench-refresh perf-smoke serve-smoke figures experiments grid-fast grid-warm-smoke trace-demo tune-fast validate clean
 
 install:
 	$(PYTHON) -m pip install -e . --no-build-isolation
@@ -65,6 +65,17 @@ experiments:
 grid-fast:
 	PYTHONPATH=src $(PYTHON) -m repro.cli grid --scale tiny --jobs 4 --no-cache \
 		--benchmarks amr join-gaussian --models dtbl
+
+# the warm path through the real CLI: a tiny grid fills a scratch cache,
+# the same grid reruns against it (answered from the result cache), and
+# the warm export must equal the cold one byte for byte (docs/harness.md)
+GRID_WARM_ARGS = grid --scale tiny --jobs 2 --benchmarks amr join-gaussian --models dtbl
+grid-warm-smoke:
+	@TMP=$$(mktemp -d) && \
+	PYTHONPATH=src $(PYTHON) -m repro.cli $(GRID_WARM_ARGS) --cache-dir "$$TMP/cache" -o "$$TMP/cold.json" && \
+	PYTHONPATH=src $(PYTHON) -m repro.cli $(GRID_WARM_ARGS) --cache-dir "$$TMP/cache" -o "$$TMP/warm.json" && \
+	cmp "$$TMP/cold.json" "$$TMP/warm.json" && echo "grid-warm-smoke: warm export equals the cold one"; \
+	status=$$?; rm -rf "$$TMP"; exit $$status
 
 # smoke test of the policy autotuner: a tiny-budget search on one
 # workload, uncached so it always exercises the full pipeline (docs/search.md)

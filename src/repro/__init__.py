@@ -19,83 +19,51 @@ Quick start::
     print(laperm.ipc / baseline.ipc)
 """
 
-from repro.analysis import (
-    FootprintResult,
-    OccupancyTimeline,
-    analyze_footprint,
-    inter_tb_reuse,
-    reuse_distance_histogram,
-)
-from repro.core import (
-    NAMED_COMPOSITIONS,
-    SCHEDULER_ORDER,
-    SCHEDULERS,
-    ComposedScheduler,
-    SchedulerSpec,
-    ThrottledScheduler,
-    canonical_scheduler_name,
-    make_scheduler,
-    parse_spec,
-)
-from repro.dynpar import MODELS, make_model
-from repro.functional import BFSProgram, DeviceMemory, run_functional_kernel
-from repro.gpu import Engine, GPUConfig, KernelSpec, SimStats
-from repro.harness import (
-    BENCHMARKS,
-    GridResult,
-    ResultCache,
-    RunSpec,
-    experiment_config,
-    iter_benchmarks,
-    load_benchmark,
-    make_executor,
-    run_grid,
-    run_latency_sweep,
-    run_seed_sweep,
-    simulate,
-)
-from repro.workloads import APPLICATIONS, Workload, make_workload
+from repro._lazy import attach
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "APPLICATIONS",
-    "BENCHMARKS",
-    "BFSProgram",
-    "ComposedScheduler",
-    "DeviceMemory",
-    "Engine",
-    "FootprintResult",
-    "GPUConfig",
-    "GridResult",
-    "KernelSpec",
-    "MODELS",
-    "NAMED_COMPOSITIONS",
-    "OccupancyTimeline",
-    "ResultCache",
-    "RunSpec",
-    "SCHEDULERS",
-    "SCHEDULER_ORDER",
-    "SchedulerSpec",
-    "SimStats",
-    "ThrottledScheduler",
-    "Workload",
-    "analyze_footprint",
-    "canonical_scheduler_name",
-    "parse_spec",
-    "experiment_config",
-    "inter_tb_reuse",
-    "iter_benchmarks",
-    "load_benchmark",
-    "make_executor",
-    "make_model",
-    "make_scheduler",
-    "make_workload",
-    "run_functional_kernel",
-    "reuse_distance_histogram",
-    "run_grid",
-    "run_latency_sweep",
-    "run_seed_sweep",
-    "simulate",
-    "__version__",
-]
+__all__, __getattr__, __dir__ = attach(
+    __name__,
+    {
+        "repro.analysis.footprint": ("FootprintResult", "analyze_footprint"),
+        "repro.analysis.locality": ("inter_tb_reuse", "reuse_distance_histogram"),
+        "repro.analysis.timeline": ("OccupancyTimeline",),
+        "repro.core": (
+            "SCHEDULERS",
+            "SCHEDULER_ORDER",
+            "ComposedScheduler",
+            "ThrottledScheduler",
+            "make_scheduler",
+        ),
+        "repro.core.components": (
+            "NAMED_COMPOSITIONS",
+            "SchedulerSpec",
+            "canonical_scheduler_name",
+            "parse_spec",
+        ),
+        "repro.dynpar": ("MODELS", "make_model"),
+        "repro.functional": ("BFSProgram", "DeviceMemory", "run_functional_kernel"),
+        "repro.gpu.config": ("GPUConfig",),
+        "repro.gpu.engine": ("Engine",),
+        "repro.gpu.kernel": ("KernelSpec",),
+        "repro.gpu.stats": ("SimStats",),
+        "repro.harness.cache": ("ResultCache",),
+        "repro.harness.execution": ("RunSpec", "make_executor"),
+        "repro.harness.registry": (
+            "BENCHMARKS",
+            "experiment_config",
+            "iter_benchmarks",
+            "load_benchmark",
+        ),
+        "repro.harness.runner": (
+            "GridResult",
+            "run_grid",
+            "run_latency_sweep",
+            "run_seed_sweep",
+            "simulate",
+        ),
+        "repro.workloads": ("APPLICATIONS", "Workload", "make_workload"),
+    },
+    eager=("__version__",),
+)

@@ -1,22 +1,18 @@
 """Trace and timeline analyses: footprints, reuse distance, occupancy."""
 
-from repro.analysis.footprint import FootprintResult, analyze_footprint
-from repro.analysis.locality import (
-    COLD,
-    InterTBReuse,
-    inter_tb_reuse,
-    reuse_distance_histogram,
-    reuse_distances,
-)
-from repro.analysis.timeline import OccupancyTimeline
+from repro._lazy import attach
 
-__all__ = [
-    "COLD",
-    "FootprintResult",
-    "InterTBReuse",
-    "OccupancyTimeline",
-    "analyze_footprint",
-    "inter_tb_reuse",
-    "reuse_distance_histogram",
-    "reuse_distances",
-]
+__all__, __getattr__, __dir__ = attach(
+    __name__,
+    {
+        "repro.analysis.footprint": ("FootprintResult", "analyze_footprint"),
+        "repro.analysis.locality": (
+            "COLD",
+            "InterTBReuse",
+            "inter_tb_reuse",
+            "reuse_distance_histogram",
+            "reuse_distances",
+        ),
+        "repro.analysis.timeline": ("OccupancyTimeline",),
+    },
+)

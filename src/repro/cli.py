@@ -33,28 +33,22 @@ import argparse
 import os
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
+# only what building the parser needs; each command imports the rest, so
+# a grid answered from the result cache never imports numpy, the
+# workload generators or the engine
 from repro.core import SCHEDULER_ORDER
-from repro.dynpar import MODELS
-from repro.gpu.config import KEPLER_K20C
-from repro.harness.cache import ResultCache
-from repro.harness.execution import Executor, RunSpec, make_executor
-from repro.harness.workload_cache import WorkloadCache
 from repro.harness.registry import (
+    LAUNCH_MODELS,
     benchmark_names,
     catalog_dict,
     experiment_config,
     load_benchmark,
 )
-from repro.harness.report import (
-    render_config,
-    render_footprints,
-    render_l1_hit_rates,
-    render_l2_hit_rates,
-    render_normalized_ipc,
-)
-from repro.harness.runner import run_grid, simulate
+
+if TYPE_CHECKING:
+    from repro.harness.execution import Executor, RunSpec
 
 DEFAULT_CACHE_DIR = ".repro-cache"
 
@@ -88,6 +82,9 @@ def _cache_dir_from_args(args: argparse.Namespace) -> str:
 def _executor_from_args(
     args: argparse.Namespace, *, collect_telemetry: bool = False
 ) -> Executor:
+    from repro.harness.cache import ResultCache
+    from repro.harness.execution import make_executor
+
     cache = None
     if not args.no_cache:
         cache = ResultCache(_cache_dir_from_args(args))
@@ -140,6 +137,9 @@ def cmd_list(args: argparse.Namespace) -> int:
 
 
 def cmd_config(args: argparse.Namespace) -> int:
+    from repro.gpu.config import KEPLER_K20C
+    from repro.harness.report import render_config
+
     print(render_config(KEPLER_K20C, "Table I: Kepler K20c (paper configuration)"))
     print()
     print(render_config(experiment_config(), "Scaled machine used by the harness"))
@@ -175,6 +175,9 @@ def _profiled_run(spec: RunSpec, profile_out: str | None) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    from repro.harness.execution import RunSpec
+    from repro.harness.runner import simulate
+
     if not args.timeline:
         spec = RunSpec.create(
             args.benchmark,
@@ -214,6 +217,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    from repro.harness.execution import RunSpec
+
     executor = _executor_from_args(args)
     specs: dict[str, RunSpec] = {}
     for scheduler in SCHEDULER_ORDER + (args.scheduler or []):
@@ -241,16 +246,20 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_grid(args: argparse.Namespace) -> int:
-    benchmarks = args.benchmarks or None
-    workloads = None
-    if benchmarks:
-        workloads = [load_benchmark(b, scale=args.scale, seed=args.seed) for b in benchmarks]
+    from repro.harness.report import (
+        render_l1_hit_rates,
+        render_l2_hit_rates,
+        render_normalized_ipc,
+    )
+    from repro.harness.runner import run_grid
+
     print("running the evaluation grid (this takes a few minutes) ...", file=sys.stderr)
     grid = run_grid(
-        workloads,
+        args.benchmarks or None,
         schedulers=tuple(args.schedulers) if args.schedulers else tuple(SCHEDULER_ORDER),
         models=tuple(args.models),
         scale=args.scale,
+        seed=args.seed,
         executor=_executor_from_args(args),
     )
     print(render_l2_hit_rates(grid))
@@ -268,14 +277,14 @@ def cmd_grid(args: argparse.Namespace) -> int:
 
 def cmd_trace(args: argparse.Namespace) -> int:
     """Export one simulated run as Chrome/Perfetto trace-event JSON."""
+    from repro.core import canonical_scheduler_name
+    from repro.harness.runner import simulate
     from repro.telemetry import (
         ChromeTraceSink,
         MetricsSink,
         TeeSink,
         assert_valid_trace,
     )
-
-    from repro.core import canonical_scheduler_name
 
     workload = load_benchmark(args.benchmark, scale=args.scale, seed=args.seed)
     config = experiment_config()
@@ -313,6 +322,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
 def cmd_snapshot(args: argparse.Namespace) -> int:
     """Generate a benchmark's workload spec once and save it for reuse."""
     from repro.gpu.serialize import load_spec, save_spec
+    from repro.harness.runner import simulate
 
     if args.load:
         spec = load_spec(args.load)
@@ -331,6 +341,8 @@ def cmd_snapshot(args: argparse.Namespace) -> int:
 
 def cmd_validate(args: argparse.Namespace) -> int:
     """Fast self-check: the paper's headline shapes on one benchmark."""
+    from repro.harness.runner import simulate
+
     checks = []
 
     def check(name: str, ok: bool, detail: str) -> None:
@@ -409,6 +421,9 @@ def cmd_tune(args: argparse.Namespace) -> int:
 
 def cmd_cache(args: argparse.Namespace) -> int:
     """Inspect or prune the on-disk result and workload caches."""
+    from repro.harness.cache import ResultCache
+    from repro.harness.workload_cache import WorkloadCache
+
     root = _cache_dir_from_args(args)
     cache = ResultCache(root)
     workloads = WorkloadCache(Path(root) / "workloads")
@@ -433,8 +448,13 @@ def cmd_cache(args: argparse.Namespace) -> int:
 
 def cmd_serve(args: argparse.Namespace) -> int:
     """Run the long-lived simulation service (docs/service.md)."""
+    from repro.harness.cache import ResultCache
+    from repro.harness.execution import import_replay_modules
     from repro.service import serve
 
+    # the worker fleet forks from this process: import what a job
+    # executes (engine, schedulers, workload generators) once, here
+    import_replay_modules(workloads=True)
     cache = None
     if not args.no_cache:
         cache = ResultCache(_cache_dir_from_args(args))
@@ -483,6 +503,7 @@ def cmd_submit(args: argparse.Namespace) -> int:
 def cmd_footprint(args: argparse.Namespace) -> int:
     from repro.analysis import analyze_footprint
     from repro.harness.registry import iter_benchmarks
+    from repro.harness.report import render_footprints
 
     results = {}
     for workload in iter_benchmarks(scale=args.scale, seed=args.seed):
@@ -512,7 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="simulate one benchmark/scheduler/model")
     run_p.add_argument("benchmark", choices=benchmark_names())
     run_p.add_argument("-s", "--scheduler", default="adaptive-bind")
-    run_p.add_argument("-m", "--model", choices=sorted(MODELS), default="dtbl")
+    run_p.add_argument("-m", "--model", choices=LAUNCH_MODELS, default="dtbl")
     run_p.add_argument("--timeline", action="store_true", help="print an SMX occupancy heatmap")
     run_p.add_argument(
         "--backend", choices=("scalar", "vector"), default="",
@@ -533,7 +554,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     cmp_p = sub.add_parser("compare", help="run all four schedulers on one benchmark")
     cmp_p.add_argument("benchmark", choices=benchmark_names())
-    cmp_p.add_argument("-m", "--model", choices=sorted(MODELS), default="dtbl")
+    cmp_p.add_argument("-m", "--model", choices=LAUNCH_MODELS, default="dtbl")
     cmp_p.add_argument(
         "-s", "--scheduler", action="append", metavar="SPEC",
         help="extra scheduler rows beyond the paper's four: a composition "
@@ -545,7 +566,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     grid_p = sub.add_parser("grid", help="run the Figures 7/8/9 evaluation grid")
     grid_p.add_argument("--benchmarks", nargs="*", help="subset (default: all 16)")
-    grid_p.add_argument("--models", nargs="*", default=["cdp", "dtbl"], choices=sorted(MODELS))
+    grid_p.add_argument("--models", nargs="*", default=["cdp", "dtbl"], choices=LAUNCH_MODELS)
     grid_p.add_argument(
         "--schedulers", nargs="*", metavar="SPEC",
         help="scheduler rows: composition names or spec strings "
@@ -563,7 +584,7 @@ def build_parser() -> argparse.ArgumentParser:
         "benchmarks", nargs="*", default=["bfs-citation", "amr"], metavar="BENCHMARK",
         help="workloads to tune on (default: bfs-citation amr)",
     )
-    tune_p.add_argument("-m", "--model", choices=sorted(MODELS), default="dtbl")
+    tune_p.add_argument("-m", "--model", choices=LAUNCH_MODELS, default="dtbl")
     tune_p.add_argument(
         "--objective", default="ipc", metavar="NAME",
         help="primary ranking objective (default: ipc; see docs/search.md)",
@@ -650,7 +671,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     submit_p.add_argument("benchmark", choices=benchmark_names())
     submit_p.add_argument("-s", "--scheduler", default="adaptive-bind")
-    submit_p.add_argument("-m", "--model", choices=sorted(MODELS), default="dtbl")
+    submit_p.add_argument("-m", "--model", choices=LAUNCH_MODELS, default="dtbl")
     submit_p.add_argument("--host", default="127.0.0.1")
     submit_p.add_argument("--port", type=int, default=8642)
     submit_p.add_argument(
@@ -689,7 +710,7 @@ def build_parser() -> argparse.ArgumentParser:
     tr_p = sub.add_parser("trace", help="export one run as Chrome/Perfetto trace-event JSON")
     tr_p.add_argument("benchmark", help="benchmark to trace (see 'repro list')")
     tr_p.add_argument("-s", "--scheduler", default="adaptive-bind")
-    tr_p.add_argument("-m", "--model", choices=sorted(MODELS), default="dtbl")
+    tr_p.add_argument("-m", "--model", choices=LAUNCH_MODELS, default="dtbl")
     tr_p.add_argument("-o", "--output", default="trace.json", metavar="FILE")
     _add_scale(tr_p)
 
@@ -700,7 +721,7 @@ def build_parser() -> argparse.ArgumentParser:
     snap_p.add_argument("-o", "--output", default="trace.json.gz")
     snap_p.add_argument("--load", help="simulate a previously saved spec file")
     snap_p.add_argument("-s", "--scheduler", default="adaptive-bind")
-    snap_p.add_argument("-m", "--model", choices=sorted(MODELS), default="dtbl")
+    snap_p.add_argument("-m", "--model", choices=LAUNCH_MODELS, default="dtbl")
     _add_scale(snap_p)
 
     return parser

@@ -35,12 +35,11 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence, TYPE_CHECKING
 
 from repro.core.queues import Entry, MultiLevelQueue
-from repro.gpu.kernel import Kernel, ThreadBlock
-from repro.telemetry.events import QueueOverflow, WorkStolen
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.composed import ComposedScheduler
     from repro.gpu.engine import Engine
+    from repro.gpu.kernel import Kernel, ThreadBlock
 
 # --- the spec grammar ---------------------------------------------------------
 
@@ -406,6 +405,8 @@ class BindPlacement(PlacementPolicy):
         self.bound_any = True
         telemetry = engine.telemetry
         if telemetry.enabled:
+            from repro.telemetry.events import QueueOverflow
+
             for domain, queue in enumerate(self.queues):
                 queue.on_overflow = (
                     lambda entry, now, _c=domain, _q=queue: telemetry.emit(
@@ -551,6 +552,8 @@ class BackupSteal(StealPolicy):
         scheduler.steals += 1
         telemetry = scheduler.engine.telemetry
         if telemetry.enabled:
+            from repro.telemetry.events import WorkStolen
+
             tb = entry.peek()
             telemetry.emit(
                 WorkStolen(

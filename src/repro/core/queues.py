@@ -15,9 +15,10 @@ dispatch. The queue tracks this accounting when given a ``capacity``.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
-from repro.gpu.kernel import ThreadBlock
+if TYPE_CHECKING:
+    from repro.gpu.kernel import ThreadBlock
 
 
 class Entry:

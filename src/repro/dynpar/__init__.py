@@ -1,18 +1,39 @@
 """Dynamic-parallelism launch models (CDP and DTBL)."""
 
-from repro.dynpar.cdp import CDP
-from repro.dynpar.dtbl import DTBL
-from repro.dynpar.launch import DynamicParallelismModel, clamp_priority
+from __future__ import annotations
 
-MODELS = {"cdp": CDP, "dtbl": DTBL}
+from functools import cache
+from typing import TYPE_CHECKING
+
+from repro._lazy import attach
+
+if TYPE_CHECKING:
+    from repro.dynpar.launch import DynamicParallelismModel
+
+@cache
+def _models() -> dict:
+    """Launch-model classes by name (``MODELS``)."""
+    from repro.dynpar.cdp import CDP
+    from repro.dynpar.dtbl import DTBL
+
+    return {"cdp": CDP, "dtbl": DTBL}
 
 
 def make_model(name: str) -> DynamicParallelismModel:
     """Construct a dynamic-parallelism model by name ('cdp' or 'dtbl')."""
     try:
-        return MODELS[name]()
+        return _models()[name]()
     except KeyError:
         raise ValueError(f"unknown dynamic parallelism model {name!r}") from None
 
 
-__all__ = ["CDP", "DTBL", "DynamicParallelismModel", "MODELS", "clamp_priority", "make_model"]
+__all__, __getattr__, __dir__ = attach(
+    __name__,
+    {
+        "repro.dynpar.cdp": ("CDP",),
+        "repro.dynpar.dtbl": ("DTBL",),
+        "repro.dynpar.launch": ("DynamicParallelismModel", "clamp_priority"),
+    },
+    computed={"MODELS": _models},
+    eager=("make_model",),
+)

@@ -1,25 +1,21 @@
 """Functional kernel frontend: execute-while-recording warp programs."""
 
-from repro.functional.kernels import (
-    BFSProgram,
-    SSSPProgram,
-    reference_bfs_distances,
-    reference_sssp_distances,
-)
-from repro.functional.machine import (
-    DeviceArray,
-    DeviceMemory,
-    WarpContext,
-    run_functional_kernel,
-)
+from repro._lazy import attach
 
-__all__ = [
-    "BFSProgram",
-    "SSSPProgram",
-    "DeviceArray",
-    "DeviceMemory",
-    "WarpContext",
-    "reference_bfs_distances",
-    "reference_sssp_distances",
-    "run_functional_kernel",
-]
+__all__, __getattr__, __dir__ = attach(
+    __name__,
+    {
+        "repro.functional.kernels": (
+            "BFSProgram",
+            "SSSPProgram",
+            "reference_bfs_distances",
+            "reference_sssp_distances",
+        ),
+        "repro.functional.machine": (
+            "DeviceArray",
+            "DeviceMemory",
+            "WarpContext",
+            "run_functional_kernel",
+        ),
+    },
+)

@@ -29,16 +29,11 @@ from __future__ import annotations
 import hashlib
 import json
 from collections import OrderedDict
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, fields
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from repro.core import canonical_scheduler_name, make_scheduler
-from repro.dynpar import make_model
+from repro.core.components import canonical_scheduler_name
 from repro.gpu.config import GPUConfig
-from repro.gpu.engine import Engine
-from repro.gpu.kernel import KernelSpec
 from repro.gpu.serialize import (
     canonical_json,
     config_from_obj,
@@ -52,8 +47,10 @@ from repro.harness.workload_cache import (
     active_workload_cache,
     configure_workload_cache,
 )
-from repro.telemetry.events import NULL_SINK, TelemetrySink
-from repro.telemetry.metrics import MetricsSink
+
+if TYPE_CHECKING:
+    from repro.gpu.kernel import KernelSpec
+    from repro.telemetry.events import TelemetrySink
 
 #: Version of the simulation semantics. Bump whenever an engine,
 #: scheduler, memory-model or workload-generation change can alter the
@@ -142,29 +139,6 @@ class RunSpec:
             scale=scale,
             seed=seed,
             config_json=config_json,
-            max_cycles=max_cycles,
-            backend=backend,
-        )
-
-    @classmethod
-    def for_workload(
-        cls,
-        workload,
-        scheduler: str,
-        model: str,
-        config: Optional[GPUConfig] = None,
-        *,
-        max_cycles: Optional[int] = DEFAULT_MAX_CYCLES,
-        backend: str = "",
-    ) -> "RunSpec":
-        """Spec for an existing workload instance (name, scale and seed)."""
-        return cls.create(
-            workload.full_name,
-            scheduler,
-            model,
-            scale=workload.scale,
-            seed=workload.seed,
-            config=config,
             max_cycles=max_cycles,
             backend=backend,
         )
@@ -306,30 +280,28 @@ def _is_registry_workload(workload) -> bool:
 
 
 def seed_kernel_cache(workload) -> None:
-    """Register a workload so executors reuse (or cache-load) its trace.
+    """Register a built or custom workload so executors reuse its trace.
 
-    This also lets :class:`SerialExecutor` run workloads that are not in
-    the Table II registry (e.g. custom :class:`~repro.workloads.Workload`
+    This lets :class:`SerialExecutor` run workloads that are not in the
+    Table II registry (e.g. custom :class:`~repro.workloads.Workload`
     subclasses), which could not be rebuilt by name in a worker process.
+    A built registry workload's trace is also written to the on-disk
+    workload cache, once: only when no record exists under its key.
 
-    For registry workloads this is also where grid runs meet the on-disk
-    workload cache: an unbuilt workload is answered from disk when a
-    cached trace exists (skipping datagen entirely), and a freshly built
-    or pre-built trace is persisted for future processes.
+    An unbuilt registry workload needs nothing: :func:`kernel_for`
+    resolves its trace by (benchmark, scale, seed) if, and only if, one
+    of its runs misses the result cache.
     """
     key = (workload.full_name, workload.scale, workload.seed)
-    disk = active_workload_cache()
-    if disk is None or not _is_registry_workload(workload):
+    if not _is_registry_workload(workload):
         _remember_kernel(key, workload.kernel())
         return
-    if workload.is_built:
-        spec = workload.kernel()
-        disk.store(workload.full_name, workload.scale, workload.seed, spec)
-    else:
-        spec = disk.load(workload.full_name, workload.scale, workload.seed)
-        if spec is None:
-            spec = workload.kernel()
-            disk.store(workload.full_name, workload.scale, workload.seed, spec)
+    if not workload.is_built:
+        return
+    spec = workload.kernel()
+    disk = active_workload_cache()
+    if disk is not None and not disk.contains(*key):
+        disk.store(*key, spec)
     _remember_kernel(key, spec)
 
 
@@ -357,15 +329,40 @@ def kernel_for(benchmark: str, scale: str, seed: int) -> KernelSpec:
     return spec
 
 
-def run_spec(spec: RunSpec, telemetry: TelemetrySink = NULL_SINK) -> SimStats:
-    """Simulate one RunSpec in this process (no caching, no dedup)."""
+def import_replay_modules(*, workloads: bool = False) -> None:
+    """Import the engine, the schedulers and the launch models (and with
+    ``workloads``, every workload generator and numpy).
+
+    Replaying a spec needs them; a result-cache hit does not, so they
+    load on first use. A parent calls this before forking workers, so
+    each worker inherits the modules instead of importing its own copy.
+    """
+    from repro.core import SCHEDULERS, ComposedScheduler  # noqa: F401
+    from repro.dynpar import MODELS  # noqa: F401
+    from repro.gpu.engine import Engine  # noqa: F401
+    from repro.telemetry.metrics import MetricsSink  # noqa: F401
+
+    if workloads:
+        from repro.workloads import APPLICATIONS  # noqa: F401
+
+
+def run_spec(spec: RunSpec, telemetry: Optional[TelemetrySink] = None) -> SimStats:
+    """Simulate one RunSpec in this process (no caching, no dedup).
+
+    ``telemetry`` attaches a sink to the engine (default: the null sink).
+    """
+    from repro.core import make_scheduler
+    from repro.dynpar import make_model
+    from repro.gpu.engine import Engine
+    from repro.telemetry.events import NULL_SINK
+
     engine = Engine(
         spec.gpu_config(),
         make_scheduler(spec.scheduler),
         make_model(spec.model),
         [kernel_for(spec.benchmark, spec.scale, spec.seed)],
         max_cycles=spec.max_cycles,
-        telemetry=telemetry,
+        telemetry=NULL_SINK if telemetry is None else telemetry,
         backend=spec.backend or None,
     )
     return engine.run()
@@ -379,6 +376,8 @@ def run_spec_with_summary(spec: RunSpec) -> tuple[SimStats, dict]:
     :func:`run_spec` run (the determinism tests pin this). The summary is
     labeled with the spec's canonical scheduler name.
     """
+    from repro.telemetry.metrics import MetricsSink
+
     sink = MetricsSink(label=spec.scheduler)
     stats = run_spec(spec, telemetry=sink)
     return stats, sink.summary(stats)
@@ -550,6 +549,9 @@ class ParallelExecutor(Executor):
     def _execute(self, specs: Sequence[RunSpec]) -> list[SimStats]:
         if len(specs) == 1 or self.jobs == 1:
             return SerialExecutor._execute(self, specs)
+        from concurrent.futures.process import BrokenProcessPool
+
+        import_replay_modules()
         initializer = None
         initargs = ()
         disk = active_workload_cache()
@@ -597,6 +599,8 @@ class ParallelExecutor(Executor):
         exactly the results delivered so far, in submission order, so the
         caller knows which specs were lost.
         """
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(
             max_workers=min(self.jobs, len(specs)),
             initializer=initializer,

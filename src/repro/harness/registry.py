@@ -14,13 +14,20 @@ DESIGN.md §2 and EXPERIMENTS.md document this scaling.
 
 from __future__ import annotations
 
-from repro.core import NAMED_COMPOSITIONS, SCHEDULER_ORDER, describe_components
-from repro.dynpar import MODELS
-from repro.gpu.config import CacheConfig, GPUConfig
-from repro.workloads import APPLICATIONS, Workload, make_workload
+from typing import TYPE_CHECKING
+
+from repro.core import SCHEDULER_ORDER
+
+if TYPE_CHECKING:
+    from repro.gpu.config import GPUConfig
+    from repro.workloads import Workload
 
 #: input sizes every CLI command and service request accepts
 SCALES = ("tiny", "small", "paper")
+
+#: dynamic-parallelism launch models (the keys of
+#: :data:`repro.dynpar.MODELS`), known without importing them
+LAUNCH_MODELS = ("cdp", "dtbl")
 
 #: (application, input) pairs, in the paper's Table II order
 BENCHMARKS: list[tuple[str, str]] = [
@@ -43,19 +50,36 @@ BENCHMARKS: list[tuple[str, str]] = [
 ]
 
 
+def _full_name(app: str, inp: str) -> str:
+    # Workload.full_name: an application with a single Table II input
+    # goes by its bare name
+    return app if sum(a == app for a, _ in BENCHMARKS) == 1 else f"{app}-{inp}"
+
+
+#: full name ('bfs-citation', 'amr', …) -> (application, input), in
+#: registry order; known without importing a single workload generator
+_BY_NAME: dict[str, tuple[str, str]] = {_full_name(app, inp): (app, inp) for app, inp in BENCHMARKS}
+
+
+def make_workload(name: str, input_name: str | None = None, scale: str = "small", seed: int = 7) -> Workload:
+    """:func:`repro.workloads.make_workload`, imported on first use."""
+    from repro.workloads import make_workload as make
+
+    return make(name, input_name, scale=scale, seed=seed)
+
+
 def benchmark_names() -> list[str]:
     """Full names ('bfs-citation', …) in registry order."""
-    return [make_workload(app, inp, scale="tiny").full_name for app, inp in BENCHMARKS]
+    return list(_BY_NAME)
 
 
 def load_benchmark(full_name: str, scale: str = "small", seed: int = 7) -> Workload:
     """Construct a benchmark from its full name (e.g. 'bfs-citation')."""
-    for app, inp in BENCHMARKS:
-        w_cls = APPLICATIONS[app]
-        candidate = f"{app}-{inp}" if len(w_cls.inputs) > 1 else app
-        if candidate == full_name:
-            return make_workload(app, inp, scale=scale, seed=seed)
-    raise ValueError(f"unknown benchmark {full_name!r}")
+    try:
+        app, inp = _BY_NAME[full_name]
+    except KeyError:
+        raise ValueError(f"unknown benchmark {full_name!r}") from None
+    return make_workload(app, inp, scale=scale, seed=seed)
 
 
 def iter_benchmarks(scale: str = "small", seed: int = 7):
@@ -71,6 +95,8 @@ def scheduler_catalog() -> list[dict]:
     composed policies the spec grammar unlocks. ``spec`` is the canonical
     spec string, so each row doubles as a grammar example.
     """
+    from repro.core.components import NAMED_COMPOSITIONS
+
     ordered = SCHEDULER_ORDER + [n for n in NAMED_COMPOSITIONS if n not in SCHEDULER_ORDER]
     return [
         {
@@ -91,17 +117,21 @@ def catalog_dict() -> dict:
     order, the named scheduler compositions with canonical specs, the
     spec grammar axes, the launch models and the accepted scales.
     """
+    from repro.core.components import describe_components
+
     return {
         "benchmarks": benchmark_names(),
         "schedulers": scheduler_catalog(),
         "spec_grammar": describe_components(),
-        "launch_models": sorted(MODELS),
+        "launch_models": list(LAUNCH_MODELS),
         "scales": list(SCALES),
     }
 
 
 def experiment_config(**overrides) -> GPUConfig:
     """The scaled 13-SMX machine used for all paper experiments."""
+    from repro.gpu.config import CacheConfig, GPUConfig
+
     config = GPUConfig(
         num_smx=13,
         max_threads_per_smx=1024,

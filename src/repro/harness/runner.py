@@ -15,13 +15,11 @@ identical results.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
-from repro.core import SCHEDULER_ORDER, canonical_scheduler_name, make_scheduler
-from repro.dynpar import make_model
+from repro.core import SCHEDULER_ORDER
+from repro.core.components import canonical_scheduler_name
 from repro.gpu.config import GPUConfig
-from repro.gpu.engine import Engine
-from repro.gpu.kernel import KernelSpec
 from repro.gpu.stats import SimStats
 from repro.harness.cache import ResultCache
 from repro.harness.execution import (
@@ -30,9 +28,12 @@ from repro.harness.execution import (
     make_executor,
     seed_kernel_cache,
 )
-from repro.harness.registry import experiment_config, iter_benchmarks
-from repro.telemetry.events import NULL_SINK, TelemetrySink
-from repro.workloads import Workload
+from repro.harness.registry import benchmark_names, experiment_config
+
+if TYPE_CHECKING:
+    from repro.gpu.kernel import KernelSpec
+    from repro.telemetry.events import TelemetrySink
+    from repro.workloads import Workload
 
 DEFAULT_MODELS = ("cdp", "dtbl")
 
@@ -48,17 +49,23 @@ def simulate(
     config: Optional[GPUConfig] = None,
     *,
     max_cycles: Optional[int] = 500_000_000,
-    telemetry: TelemetrySink = NULL_SINK,
+    telemetry: Optional[TelemetrySink] = None,
     backend: Optional[str] = None,
 ) -> SimStats:
     """Run one kernel under one scheduler and launch model.
 
     ``telemetry`` attaches a :class:`~repro.telemetry.events.TelemetrySink`
     (e.g. a :class:`~repro.telemetry.chrome_trace.ChromeTraceSink`) to the
-    engine; the default null sink records nothing and costs nothing.
+    engine; the default (None: the null sink) records nothing and costs
+    nothing.
     ``backend`` picks the engine implementation (``"scalar"``/``"vector"``,
     simulated results are identical); ``None`` uses the engine default.
     """
+    from repro.core import make_scheduler
+    from repro.dynpar import make_model
+    from repro.gpu.engine import Engine
+    from repro.telemetry.events import NULL_SINK
+
     config = config or experiment_config()
     engine = Engine(
         config,
@@ -66,7 +73,7 @@ def simulate(
         make_model(model),
         [spec],
         max_cycles=max_cycles,
-        telemetry=telemetry,
+        telemetry=NULL_SINK if telemetry is None else telemetry,
         backend=backend,
     )
     return engine.run()
@@ -217,12 +224,13 @@ def run_seed_sweep(
 
 
 def run_grid(
-    workloads: Optional[Iterable[Workload]] = None,
+    workloads: Optional[Iterable[str | Workload]] = None,
     schedulers: Sequence[str] = tuple(SCHEDULER_ORDER),
     models: Sequence[str] = DEFAULT_MODELS,
     config: Optional[GPUConfig] = None,
     *,
     scale: str = "small",
+    seed: int = 7,
     verbose: bool = False,
     executor: Optional[Executor] = None,
     jobs: int = 1,
@@ -230,12 +238,16 @@ def run_grid(
 ) -> GridResult:
     """Run the full evaluation grid (Figures 7, 8 and 9).
 
-    Workload traces are registered with the execution layer, so a serial
-    executor never rebuilds them; with a result cache attached, traces
-    also persist in the on-disk workload cache, and a warm grid runs
-    zero datagen steps (worker processes pre-load the stored traces
-    instead of rebuilding by (benchmark, scale, seed)). Workloads
-    outside the Table II registry require a serial executor.
+    ``workloads`` names the benchmarks: Table II names (``"amr"``,
+    ``"bfs-citation"``; default: all 16), run at ``scale`` and ``seed``,
+    or :class:`~repro.workloads.Workload` instances, run at their own
+    scale and seed. A benchmark's trace is resolved only when one of its
+    cells misses the result cache (memory, then the on-disk workload
+    cache, then a build; see :func:`~repro.harness.execution.kernel_for`),
+    so a warm grid loads no trace and runs no engine. Built and custom
+    workloads are registered through
+    :func:`~repro.harness.execution.seed_kernel_cache` so their traces
+    are reused; custom workloads require a serial executor.
 
     ``schedulers`` accepts any grammar spelling (named composition, spec
     string, ``+throttle``); grid rows are keyed by canonical label.
@@ -243,19 +255,22 @@ def run_grid(
     config = config or experiment_config()
     executor = _resolve_executor(executor, jobs, cache)
     schedulers = list(dict.fromkeys(canonical_scheduler_name(s) for s in schedulers))
-    if workloads is None:
-        workloads = list(iter_benchmarks(scale=scale))
-    else:
-        workloads = list(workloads)
+    known = benchmark_names()
     result = GridResult(schedulers=list(schedulers), models=list(models))
     cells: dict[tuple[str, str, str], RunSpec] = {}
-    for workload in workloads:
-        seed_kernel_cache(workload)
-        result.benchmarks.append(workload.full_name)
+    for workload in known if workloads is None else workloads:
+        if isinstance(workload, str):
+            if workload not in known:
+                raise ValueError(f"unknown benchmark {workload!r}")
+            name, w_scale, w_seed = workload, scale, seed
+        else:
+            seed_kernel_cache(workload)
+            name, w_scale, w_seed = workload.full_name, workload.scale, workload.seed
+        result.benchmarks.append(name)
         for model in models:
             for scheduler in schedulers:
-                cells[(workload.full_name, scheduler, model)] = RunSpec.for_workload(
-                    workload, scheduler, model, config
+                cells[(name, scheduler, model)] = RunSpec.create(
+                    name, scheduler, model, scale=w_scale, seed=w_seed, config=config
                 )
     stats_by_spec = executor.run(list(cells.values()))
     for (benchmark, scheduler, model), spec in cells.items():

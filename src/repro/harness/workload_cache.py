@@ -109,6 +109,10 @@ class WorkloadCache:
         self.hits += 1
         return spec
 
+    def contains(self, benchmark: str, scale: str, seed: int) -> bool:
+        """Whether a trace is stored for this workload (not read or checked)."""
+        return self.path_for(self.key_for(benchmark, scale, seed)).is_file()
+
     def store(self, benchmark: str, scale: str, seed: int, spec: KernelSpec) -> None:
         """Atomically write this workload's trace (overwrites)."""
         path = self.path_for(self.key_for(benchmark, scale, seed))

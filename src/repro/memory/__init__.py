@@ -1,17 +1,13 @@
 """Memory-system substrate: caches, coalescer, DRAM, and the hierarchy."""
 
-from repro.memory.cache import Cache, CacheStats
-from repro.memory.coalescer import coalesce, coalescing_degree
-from repro.memory.dram import DRAM, DRAMStats
-from repro.memory.hierarchy import AccessResult, MemoryHierarchy
+from repro._lazy import attach
 
-__all__ = [
-    "AccessResult",
-    "Cache",
-    "CacheStats",
-    "DRAM",
-    "DRAMStats",
-    "MemoryHierarchy",
-    "coalesce",
-    "coalescing_degree",
-]
+__all__, __getattr__, __dir__ = attach(
+    __name__,
+    {
+        "repro.memory.cache": ("Cache", "CacheStats"),
+        "repro.memory.coalescer": ("coalesce", "coalescing_degree"),
+        "repro.memory.dram": ("DRAM", "DRAMStats"),
+        "repro.memory.hierarchy": ("AccessResult", "MemoryHierarchy"),
+    },
+)

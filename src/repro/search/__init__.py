@@ -7,62 +7,42 @@ docs/search.md for the architecture, the reproducibility guarantees and
 a usage walkthrough.
 """
 
-from repro.search.objectives import (
-    OBJECTIVES,
-    Objective,
-    dominates,
-    get_objective,
-    pareto_frontier,
-    resolve_objectives,
-)
-from repro.search.report import (
-    ProgressPrinter,
-    render_leaderboard,
-    tune_to_obj,
-    write_tune,
-)
-from repro.search.space import (
-    dedup_names,
-    enumerate_space,
-    random_spec_string,
-    random_spelling,
-    sample_specs,
-    space_names,
-    spec_names,
-)
-from repro.search.tuner import (
-    DEFAULT_EXTRA_OBJECTIVES,
-    CandidateResult,
-    Rung,
-    TuneResult,
-    default_rungs,
-    plan_counts,
-    tune,
-)
+from repro._lazy import attach
 
-__all__ = [
-    "CandidateResult",
-    "DEFAULT_EXTRA_OBJECTIVES",
-    "OBJECTIVES",
-    "Objective",
-    "ProgressPrinter",
-    "Rung",
-    "TuneResult",
-    "dedup_names",
-    "default_rungs",
-    "dominates",
-    "enumerate_space",
-    "get_objective",
-    "pareto_frontier",
-    "plan_counts",
-    "random_spec_string",
-    "random_spelling",
-    "render_leaderboard",
-    "resolve_objectives",
-    "sample_specs",
-    "space_names",
-    "spec_names",
-    "tune",
-    "tune_to_obj",
-    "write_tune",
-]
+__all__, __getattr__, __dir__ = attach(
+    __name__,
+    {
+        "repro.search.objectives": (
+            "OBJECTIVES",
+            "Objective",
+            "dominates",
+            "get_objective",
+            "pareto_frontier",
+            "resolve_objectives",
+        ),
+        "repro.search.report": (
+            "ProgressPrinter",
+            "render_leaderboard",
+            "tune_to_obj",
+            "write_tune",
+        ),
+        "repro.search.space": (
+            "dedup_names",
+            "enumerate_space",
+            "random_spec_string",
+            "random_spelling",
+            "sample_specs",
+            "space_names",
+            "spec_names",
+        ),
+        "repro.search.tuner": (
+            "DEFAULT_EXTRA_OBJECTIVES",
+            "CandidateResult",
+            "Rung",
+            "TuneResult",
+            "default_rungs",
+            "plan_counts",
+            "tune",
+        ),
+    },
+)

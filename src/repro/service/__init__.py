@@ -17,44 +17,26 @@ up, to simulation jobs across worker processes.
 See docs/service.md.
 """
 
-from repro.service.broker import AdmissionError, Broker, ServiceUnavailable
-from repro.service.client import ServiceClient, ServiceError
-from repro.service.jobs import (
-    CANCELLED,
-    DONE,
-    FAILED,
-    JOB_STATES,
-    QUEUED,
-    RUNNING,
-    TERMINAL_STATES,
-    Job,
-    JobEvent,
-    estimate_cost,
-)
-from repro.service.server import DEFAULT_PORT, ServiceServer, ServiceThread, serve
-from repro.service.workers import JobTimeout, WorkerCrashed, WorkerFleet
+from repro._lazy import attach
 
-__all__ = [
-    "AdmissionError",
-    "Broker",
-    "CANCELLED",
-    "DEFAULT_PORT",
-    "DONE",
-    "FAILED",
-    "JOB_STATES",
-    "Job",
-    "JobEvent",
-    "JobTimeout",
-    "QUEUED",
-    "RUNNING",
-    "ServiceClient",
-    "ServiceError",
-    "ServiceServer",
-    "ServiceThread",
-    "ServiceUnavailable",
-    "TERMINAL_STATES",
-    "WorkerCrashed",
-    "WorkerFleet",
-    "estimate_cost",
-    "serve",
-]
+__all__, __getattr__, __dir__ = attach(
+    __name__,
+    {
+        "repro.service.broker": ("AdmissionError", "Broker", "ServiceUnavailable"),
+        "repro.service.client": ("ServiceClient", "ServiceError"),
+        "repro.service.jobs": (
+            "CANCELLED",
+            "DONE",
+            "FAILED",
+            "JOB_STATES",
+            "QUEUED",
+            "RUNNING",
+            "TERMINAL_STATES",
+            "Job",
+            "JobEvent",
+            "estimate_cost",
+        ),
+        "repro.service.server": ("DEFAULT_PORT", "ServiceServer", "ServiceThread", "serve"),
+        "repro.service.workers": ("JobTimeout", "WorkerCrashed", "WorkerFleet"),
+    },
+)

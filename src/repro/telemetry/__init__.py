@@ -4,68 +4,44 @@ See docs/telemetry.md for the event taxonomy, the sink API and a
 walkthrough of loading an exported trace in Perfetto.
 """
 
-from repro.telemetry.chrome_trace import (
-    ChromeTraceSink,
-    TraceValidationError,
-    assert_valid_trace,
-    validate_trace,
-    write_trace,
-)
-from repro.telemetry.events import (
-    EVENT_TYPES,
-    NULL_SINK,
-    CacheSample,
-    ChildLaunched,
-    KernelDispatched,
-    NullSink,
-    QueueOverflow,
-    RecordingSink,
-    SearchProgress,
-    TBCompleted,
-    TBDispatched,
-    TeeSink,
-    TelemetryEvent,
-    TelemetrySink,
-    WarpStall,
-    WorkStolen,
-)
-from repro.telemetry.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    MetricsSink,
-    gini,
-    render_prometheus,
-)
+from repro._lazy import attach
 
-__all__ = [
-    "CacheSample",
-    "ChildLaunched",
-    "ChromeTraceSink",
-    "Counter",
-    "EVENT_TYPES",
-    "Gauge",
-    "Histogram",
-    "KernelDispatched",
-    "MetricsRegistry",
-    "MetricsSink",
-    "NULL_SINK",
-    "NullSink",
-    "QueueOverflow",
-    "RecordingSink",
-    "SearchProgress",
-    "TBCompleted",
-    "TBDispatched",
-    "TeeSink",
-    "TelemetryEvent",
-    "TelemetrySink",
-    "TraceValidationError",
-    "WarpStall",
-    "WorkStolen",
-    "assert_valid_trace",
-    "gini",
-    "render_prometheus",
-    "validate_trace",
-    "write_trace",
-]
+__all__, __getattr__, __dir__ = attach(
+    __name__,
+    {
+        "repro.telemetry.chrome_trace": (
+            "ChromeTraceSink",
+            "TraceValidationError",
+            "assert_valid_trace",
+            "validate_trace",
+            "write_trace",
+        ),
+        "repro.telemetry.events": (
+            "EVENT_TYPES",
+            "NULL_SINK",
+            "CacheSample",
+            "ChildLaunched",
+            "KernelDispatched",
+            "NullSink",
+            "QueueOverflow",
+            "RecordingSink",
+            "SearchProgress",
+            "TBCompleted",
+            "TBDispatched",
+            "TeeSink",
+            "TelemetryEvent",
+            "TelemetrySink",
+            "WarpStall",
+            "WorkStolen",
+        ),
+        "repro.telemetry.metrics": (
+            "Counter",
+            "Gauge",
+            "Histogram",
+            "MetricsRegistry",
+            "MetricsSink",
+            "gini",
+            "render_prometheus",
+        ),
+    },
+)

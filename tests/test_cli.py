@@ -1,7 +1,13 @@
 """Command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 
 
@@ -61,6 +67,41 @@ class TestCommands:
         assert code == 0
         out = capsys.readouterr().out
         assert "Figure 7" in out and "Figure 9" in out
+
+    def test_grid_seed_reaches_default_benchmarks(self, tmp_path):
+        """Regression: without --benchmarks, ``--seed`` was dropped and
+        every grid simulated the seed-7 inputs."""
+        exports = {}
+        for seed in (3, 7):
+            out = tmp_path / f"seed-{seed}.json"
+            argv = ["--seed", str(seed), "grid", "--scale", "tiny", "--models", "dtbl",
+                    "--schedulers", "rr", "--no-cache", "-o", str(out)]
+            assert main(argv) == 0
+            exports[seed] = out.read_text()
+        assert exports[3] != exports[7]
+
+    def test_warm_grid_imports_no_simulator(self, tmp_path):
+        """A grid the result cache answers imports no workload generator,
+        no engine and no numpy: checked in a fresh interpreter."""
+        argv = ["grid", "--scale", "tiny", "--benchmarks", "amr", "join-gaussian",
+                "--models", "dtbl", "--jobs", "2", "--cache-dir", str(tmp_path)]
+        assert main(argv) == 0  # cold fill
+        forbidden = ["numpy", "repro.workloads", "repro.analysis", "repro.functional",
+                     "repro.search", "repro.service", "repro.gpu.engine"]
+        probe = (
+            "import sys\n"
+            "from repro.cli import main\n"
+            f"assert main({argv!r}) == 0\n"
+            f"print([m for m in {forbidden!r} if m in sys.modules])\n"
+        )
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        result = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip().splitlines()[-1] == "[]"
 
     def test_footprint_tiny(self, capsys):
         assert main(["footprint", "--scale", "tiny"]) == 0

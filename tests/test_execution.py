@@ -250,6 +250,32 @@ class TestGridDeterminism:
         assert warm == serial
         assert engine_runs["n"] == 0  # fully answered from the cache
 
+    def test_warm_grid_loads_zero_traces(self, tmp_path, engine_runs, monkeypatch):
+        """A result-cache hit resolves nothing: no trace load from the
+        workload cache (hit or miss), no build and no engine."""
+        from repro.harness import execution, workload_cache
+        from repro.workloads import APPLICATIONS
+
+        names = ["amr", "join-gaussian"]
+        cold = grid_to_json(run_grid(names, scale="tiny", **GRID_KWARGS, cache=ResultCache(tmp_path)))
+        # a fresh process: no trace in memory, a new workload-cache handle
+        monkeypatch.setattr(execution, "_KERNEL_CACHE", type(execution._KERNEL_CACHE)())
+        monkeypatch.setattr(workload_cache, "_active", None)
+
+        def boom(*args, **kwargs):  # pragma: no cover - failure path
+            raise AssertionError("a warm grid built a workload")
+
+        for cls in APPLICATIONS.values():
+            monkeypatch.setattr(cls, "build", boom)
+        engine_runs["n"] = 0
+        for jobs in (1, 2):
+            executor = make_executor(jobs=jobs, cache=ResultCache(tmp_path))
+            warm = grid_to_json(run_grid(names, scale="tiny", **GRID_KWARGS, executor=executor))
+            assert warm == cold
+            assert executor.hits == 4 and executor.misses == 0
+            assert (executor.workload_cache.hits, executor.workload_cache.misses) == (0, 0)
+        assert engine_runs["n"] == 0
+
     def test_config_change_invalidates_cache(self, tmp_path, engine_runs):
         workloads = tiny_workloads()
         cache = ResultCache(tmp_path)

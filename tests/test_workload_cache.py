@@ -182,6 +182,21 @@ def test_warm_grid_runs_zero_datagen_steps(tmp_path, monkeypatch):
     assert executor.workload_cache.hits >= 1
 
 
+def test_built_workload_trace_is_stored_once(tmp_path):
+    """Regression: seed_kernel_cache rewrote a built workload's trace on
+    every grid, even when the identical record was already on disk."""
+    workloads = [load_benchmark(BENCH, scale="tiny", seed=7)]
+    workloads[0].kernel()
+    for _ in range(2):
+        run_grid(
+            workloads,
+            schedulers=("rr",),
+            models=("dtbl",),
+            executor=make_executor(jobs=1, cache=ResultCache(tmp_path)),
+        )
+    assert wc.active_workload_cache().stores == 1
+
+
 def test_custom_workload_subclass_bypasses_disk_cache(tmp_path):
     """A subclass sharing a registry name must use its own trace."""
     base = load_benchmark(BENCH, scale="tiny", seed=7)
