@@ -68,13 +68,20 @@ grid-fast:
 
 # the warm path through the real CLI: a tiny grid fills a scratch cache,
 # the same grid reruns against it (answered from the result cache), and
-# the warm export must equal the cold one byte for byte (docs/harness.md)
+# the warm export must equal the cold one byte for byte. Then other
+# scheduler rows over the same cache miss every result but load every
+# trace from disk, and must equal the same rows run with --no-cache
+# (docs/harness.md)
 GRID_WARM_ARGS = grid --scale tiny --jobs 2 --benchmarks amr join-gaussian --models dtbl
+GRID_LOAD_SCHEDULERS = --schedulers l2-bind adaptive-l2
 grid-warm-smoke:
 	@TMP=$$(mktemp -d) && \
 	PYTHONPATH=src $(PYTHON) -m repro.cli $(GRID_WARM_ARGS) --cache-dir "$$TMP/cache" -o "$$TMP/cold.json" && \
 	PYTHONPATH=src $(PYTHON) -m repro.cli $(GRID_WARM_ARGS) --cache-dir "$$TMP/cache" -o "$$TMP/warm.json" && \
-	cmp "$$TMP/cold.json" "$$TMP/warm.json" && echo "grid-warm-smoke: warm export equals the cold one"; \
+	cmp "$$TMP/cold.json" "$$TMP/warm.json" && echo "grid-warm-smoke: warm export equals the cold one" && \
+	PYTHONPATH=src $(PYTHON) -m repro.cli $(GRID_WARM_ARGS) $(GRID_LOAD_SCHEDULERS) --cache-dir "$$TMP/cache" -o "$$TMP/loaded.json" && \
+	PYTHONPATH=src $(PYTHON) -m repro.cli $(GRID_WARM_ARGS) $(GRID_LOAD_SCHEDULERS) --no-cache -o "$$TMP/uncached.json" && \
+	cmp "$$TMP/loaded.json" "$$TMP/uncached.json" && echo "grid-warm-smoke: traces loaded from disk give the uncached export"; \
 	status=$$?; rm -rf "$$TMP"; exit $$status
 
 # smoke test of the policy autotuner: a tiny-budget search on one

@@ -266,7 +266,10 @@ def cmd_grid(args: argparse.Namespace) -> int:
     print()
     print(render_l1_hit_rates(grid))
     print()
-    print(render_normalized_ipc(grid))
+    if "rr" in grid.schedulers:
+        print(render_normalized_ipc(grid))
+    else:
+        print("Figure 9 (IPC normalized to RR) needs rr among the scheduler rows")
     if args.output:
         from repro.harness.export import write_grid
 

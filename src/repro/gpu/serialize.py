@@ -8,7 +8,12 @@ launches round-trips to a single object).
 
 Format: a flat table of bodies (instruction streams) and launch specs,
 referenced by index, so arbitrarily deep launch trees serialize without
-recursion.
+recursion. The file is compact JSON (no whitespace) that `save_spec`
+encodes in one `json.dumps` call (CPython's C encoder; streaming
+`json.dump` runs the pure-Python one) and compresses in one call at gzip
+level 1 with a zero header mtime, so equal specs give equal files.
+`load_spec` reads any gzip level, so files written at level 9 by earlier
+versions load unchanged.
 
 It also provides the plain-object round trips the execution layer is
 built on: `GPUConfig` and `SimStats` to/from JSON-compatible dicts
@@ -22,12 +27,16 @@ from __future__ import annotations
 import gzip
 import hashlib
 import json
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.gpu.config import GPUConfig
-from repro.gpu.kernel import KernelSpec, ResourceReq
 from repro.gpu.stats import SimStats
-from repro.gpu.trace import Instr, LaunchSpec, Op, TBBody
+
+if TYPE_CHECKING:
+    # trace types load on first spec (de)serialization, so callers that
+    # only decode stats or hash configs never import them
+    from repro.gpu.kernel import KernelSpec
+    from repro.gpu.trace import Instr, LaunchSpec, TBBody
 
 FORMAT_VERSION = 1
 
@@ -68,16 +77,6 @@ def stats_from_obj(obj: dict) -> SimStats:
     return SimStats.from_dict(obj)
 
 
-def _instr_to_obj(instr: Instr, spec_ids: dict[int, int]) -> list:
-    if instr.op == Op.COMPUTE:
-        return ["c", instr.cycles]
-    if instr.op == Op.LOAD:
-        return ["l", list(instr.addresses)]
-    if instr.op == Op.STORE:
-        return ["s", list(instr.addresses)]
-    return ["x", spec_ids[id(instr.launch)]]
-
-
 def _collect(spec: KernelSpec):
     """Index every body and launch spec reachable from ``spec``."""
     bodies: list[TBBody] = []
@@ -108,7 +107,19 @@ def _collect(spec: KernelSpec):
 
 def spec_to_obj(spec: KernelSpec) -> dict:
     """Serialize a kernel spec to plain JSON-compatible objects."""
+    from repro.gpu.trace import Op
+
     bodies, body_ids, launches, launch_ids = _collect(spec)
+
+    def instr_obj(instr: Instr) -> list:
+        if instr.op == Op.COMPUTE:
+            return ["c", instr.cycles]
+        if instr.op == Op.LOAD:
+            return ["l", list(instr.addresses)]
+        if instr.op == Op.STORE:
+            return ["s", list(instr.addresses)]
+        return ["x", launch_ids[id(instr.launch)]]
+
     return {
         "version": FORMAT_VERSION,
         "name": spec.name,
@@ -118,7 +129,7 @@ def spec_to_obj(spec: KernelSpec) -> dict:
             "smem_bytes": spec.resources.smem_bytes,
         },
         "bodies": [
-            [[_instr_to_obj(i, launch_ids) for i in warp] for warp in body.warps]
+            [[instr_obj(i) for i in warp] for warp in body.warps]
             for body in bodies
         ],
         "launches": [
@@ -137,6 +148,9 @@ def spec_to_obj(spec: KernelSpec) -> dict:
 
 def spec_from_obj(obj: dict) -> KernelSpec:
     """Rebuild a kernel spec from :func:`spec_to_obj` output."""
+    from repro.gpu.kernel import KernelSpec, ResourceReq
+    from repro.gpu.trace import Instr, LaunchSpec, Op, TBBody
+
     if obj.get("version") != FORMAT_VERSION:
         raise ValueError(f"unsupported trace format version {obj.get('version')!r}")
 
@@ -198,12 +212,18 @@ def spec_from_obj(obj: dict) -> KernelSpec:
 
 
 def save_spec(spec: KernelSpec, path: str) -> None:
-    """Write a kernel spec to a gzip-compressed JSON trace file."""
-    with gzip.open(path, "wt", encoding="utf-8") as f:
-        json.dump(spec_to_obj(spec), f, separators=(",", ":"))
+    """Write a kernel spec to a gzip-compressed JSON trace file.
+
+    One C-encoded ``json.dumps``, one level-1 compression and one write:
+    at gzip level 9 compression alone took 9x as long as at level 1.
+    """
+    data = json.dumps(spec_to_obj(spec), separators=(",", ":")).encode("utf-8")
+    with open(path, "wb") as f:
+        f.write(gzip.compress(data, compresslevel=1, mtime=0))
 
 
 def load_spec(path: str) -> KernelSpec:
-    """Load a kernel spec written by :func:`save_spec`."""
-    with gzip.open(path, "rt", encoding="utf-8") as f:
-        return spec_from_obj(json.load(f))
+    """Load a kernel spec written by :func:`save_spec` (any gzip level)."""
+    with open(path, "rb") as f:
+        data = f.read()
+    return spec_from_obj(json.loads(gzip.decompress(data)))

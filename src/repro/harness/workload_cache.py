@@ -13,8 +13,11 @@ Records are the gzip-compressed JSON trace files of
 preserve body sharing: a :class:`~repro.gpu.trace.TBBody` referenced by
 several launches round-trips to a single object, so the flat-array
 lowering (:mod:`repro.gpu.compiled`) is still compiled once per body
-after a cache load. Layout mirrors the result cache, sharded by the
-first two hex digits of the key::
+after a cache load. A record is compact JSON written in one call at gzip
+level 1 with a zero header mtime, so storing one spec twice gives the
+same bytes; records written at level 9 by earlier versions hold the
+same JSON and load unchanged. Layout mirrors the result cache, sharded
+by the first two hex digits of the key::
 
     <root>/ab/abcdef0123....trace.json.gz
 
@@ -38,10 +41,12 @@ import os
 import tempfile
 import zlib
 from pathlib import Path
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from repro.gpu.kernel import KernelSpec
 from repro.gpu.serialize import FORMAT_VERSION, canonical_json, load_spec, save_spec
+
+if TYPE_CHECKING:
+    from repro.gpu.kernel import KernelSpec
 
 #: Version of workload-generation semantics. Bump whenever a datagen or
 #: trace-building change can alter the KernelSpec a (benchmark, scale,

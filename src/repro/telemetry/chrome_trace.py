@@ -258,7 +258,8 @@ class ChromeTraceSink(TelemetrySink):
         """Render and write the trace; returns the trace object."""
         trace = self.trace()
         with open(path, "w", encoding="utf-8") as f:
-            json.dump(trace, f)
+            # one C-encoded dumps; streaming json.dump runs the Python encoder
+            f.write(json.dumps(trace))
         return trace
 
 

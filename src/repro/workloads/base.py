@@ -21,6 +21,11 @@ from repro.gpu.trace import Instr, LaunchSpec, TBBody, compute, launch, load, st
 #: recognized workload scales (rough instruction budget per run)
 SCALES = ("tiny", "small", "paper")
 
+#: from this many indices on, :meth:`Array.addrs` computes with numpy;
+#: below it numpy's fixed per-call cost exceeds a plain Python loop
+#: (cross-over measured at 64 for both lists and ndarrays)
+_NUMPY_MIN_INDICES = 64
+
 
 class Array:
     """A named array placed in the flat address space."""
@@ -41,21 +46,54 @@ class Array:
     def end(self) -> int:
         return self.base + self.nbytes
 
+    def _out_of_range(self, index: int) -> IndexError:
+        return IndexError(f"{self.name}[{index}] out of range (length {self.length})")
+
     def addr(self, index: int) -> int:
         """Byte address of element ``index`` (bounds-checked)."""
         if not 0 <= index < self.length:
-            raise IndexError(f"{self.name}[{index}] out of range (length {self.length})")
+            raise self._out_of_range(index)
         return self.base + index * self.elem_bytes
 
     def addrs(self, indices: Iterable[int]) -> list[int]:
-        """Byte addresses of many elements (one vectorized bounds check)."""
-        idx = np.asarray(indices if isinstance(indices, np.ndarray) else list(indices), dtype=np.int64)
+        """Byte addresses of many elements, as a list of Python ints.
+
+        Raises :class:`IndexError` naming the first out-of-range index in
+        iteration order. Ranges and short sequences of ints take a plain
+        Python path; numpy's fixed per-call cost only pays off from
+        :data:`_NUMPY_MIN_INDICES` indices on.
+        """
+        base, elem_bytes, length = self.base, self.elem_bytes, self.length
+        if type(indices) is range and elem_bytes > 0:
+            if not indices:
+                return []
+            first, last = indices[0], indices[-1]
+            if not (0 <= first < length and 0 <= last < length):
+                raise self._out_of_range(next(i for i in indices if not 0 <= i < length))
+            return list(range(base + indices.start * elem_bytes, base + indices.stop * elem_bytes,
+                              indices.step * elem_bytes))
+        if isinstance(indices, np.ndarray):
+            if indices.ndim != 1 or len(indices) >= _NUMPY_MIN_INDICES:
+                return self._addrs_numpy(indices)
+            seq = indices.astype(np.int64).tolist()
+        else:
+            seq = indices if type(indices) is list else list(indices)
+            # numpy scalars, bools and floats keep numpy's int64 conversion
+            if len(seq) >= _NUMPY_MIN_INDICES or not all(type(i) is int for i in seq):
+                return self._addrs_numpy(seq)
+        if not seq:
+            return []
+        if min(seq) < 0 or max(seq) >= length:
+            raise self._out_of_range(next(i for i in seq if not 0 <= i < length))
+        return [base + i * elem_bytes for i in seq]
+
+    def _addrs_numpy(self, indices) -> list[int]:
+        idx = np.asarray(indices, dtype=np.int64)
         if idx.size == 0:
             return []
         bad = (idx < 0) | (idx >= self.length)
         if bad.any():
-            index = int(idx[bad][0])
-            raise IndexError(f"{self.name}[{index}] out of range (length {self.length})")
+            raise self._out_of_range(int(idx[bad][0]))
         return (self.base + idx * self.elem_bytes).tolist()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

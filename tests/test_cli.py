@@ -82,12 +82,15 @@ class TestCommands:
 
     def test_warm_grid_imports_no_simulator(self, tmp_path):
         """A grid the result cache answers imports no workload generator,
-        no engine and no numpy: checked in a fresh interpreter."""
+        no engine, no trace types and no numpy: checked in a fresh
+        interpreter. Stats decoding shares gpu.serialize with the trace
+        codec, which imports the trace modules only to (de)serialize specs."""
         argv = ["grid", "--scale", "tiny", "--benchmarks", "amr", "join-gaussian",
                 "--models", "dtbl", "--jobs", "2", "--cache-dir", str(tmp_path)]
         assert main(argv) == 0  # cold fill
         forbidden = ["numpy", "repro.workloads", "repro.analysis", "repro.functional",
-                     "repro.search", "repro.service", "repro.gpu.engine"]
+                     "repro.search", "repro.service", "repro.gpu.engine",
+                     "repro.gpu.kernel", "repro.gpu.trace", "repro.memory.coalescer"]
         probe = (
             "import sys\n"
             "from repro.cli import main\n"
@@ -311,3 +314,14 @@ class TestServiceCommands:
             captured = capsys.readouterr()
             assert code == 0
             assert "source=cache" in captured.err
+
+
+def test_grid_without_rr_row_still_exports(tmp_path, capsys):
+    """Figure 9 normalizes to rr; a grid without that row skips the figure
+    instead of crashing after every cell has run and losing the export."""
+    out = tmp_path / "grid.json"
+    argv = ["grid", "--scale", "tiny", "--benchmarks", "amr", "--models", "dtbl",
+            "--schedulers", "l2-bind", "adaptive-l2", "--no-cache", "-o", str(out)]
+    assert main(argv) == 0
+    assert "needs rr among the scheduler rows" in capsys.readouterr().out
+    assert out.is_file()

@@ -6,7 +6,10 @@ cold *result* cache) executes **zero** datagen steps, and the simulated
 statistics are bit-for-bit identical to a freshly generated run.
 """
 
+import gzip
+import json
 import shutil
+import time
 
 import pytest
 
@@ -24,7 +27,7 @@ from repro.harness.export import grid_to_json
 from repro.harness.registry import load_benchmark
 from repro.harness.runner import run_grid
 from repro.harness.workload_cache import TRACE_VERSION, WorkloadCache
-from repro.gpu.serialize import stats_to_obj
+from repro.gpu.serialize import spec_to_obj, stats_to_obj
 
 BENCH = "join-uniform"
 SPEC = RunSpec(benchmark=BENCH, scheduler="rr", model="dtbl", scale="tiny", seed=7)
@@ -88,6 +91,57 @@ def test_corrupt_record_is_a_miss(tmp_path):
     path = cache.path_for(cache.key_for(BENCH, "tiny", 7))
     path.write_bytes(b"not a gzip trace")
     assert cache.load(BENCH, "tiny", 7) is None
+
+
+# --- record format: compact JSON, gzip level 1, zero mtime -------------------
+
+
+def _record_path(cache: WorkloadCache):
+    return cache.path_for(cache.key_for(BENCH, "tiny", 7))
+
+
+def test_gzip9_record_written_the_old_way_still_loads(tmp_path):
+    """Records of earlier versions (streamed json.dump, gzip level 9)
+    stay valid: same payload, only the compression differs."""
+    cache = WorkloadCache(tmp_path)
+    built = load_benchmark(BENCH, scale="tiny", seed=7).kernel()
+    path = _record_path(cache)
+    path.parent.mkdir(parents=True)
+    with gzip.open(path, "wt", encoding="utf-8") as f:
+        json.dump(spec_to_obj(built), f, separators=(",", ":"))
+    loaded = cache.load(BENCH, "tiny", 7)
+    assert loaded is not None and cache.hits == 1 and cache.misses == 0
+    assert spec_to_obj(loaded) == spec_to_obj(built)
+
+
+def test_two_stores_of_one_spec_are_byte_identical(tmp_path, monkeypatch):
+    built = load_benchmark(BENCH, scale="tiny", seed=7).kernel()
+    first, second = WorkloadCache(tmp_path / "a"), WorkloadCache(tmp_path / "b")
+    first.store(BENCH, "tiny", 7, built)
+    # a header carrying the wall clock would now differ
+    monkeypatch.setattr(time, "time", lambda: 2_000_000_000.0)
+    second.store(BENCH, "tiny", 7, built)
+    data = _record_path(first).read_bytes()
+    assert data == _record_path(second).read_bytes()
+    assert data[4:8] == b"\0\0\0\0"  # gzip header mtime
+
+
+def test_record_payload_is_the_compact_json_of_the_spec(tmp_path):
+    cache = WorkloadCache(tmp_path)
+    built = load_benchmark(BENCH, scale="tiny", seed=7).kernel()
+    cache.store(BENCH, "tiny", 7, built)
+    payload = gzip.decompress(_record_path(cache).read_bytes())
+    assert payload == json.dumps(spec_to_obj(built), separators=(",", ":")).encode("utf-8")
+
+
+@pytest.mark.parametrize("keep", [0, 5, 10, 100, -8, -1])
+def test_truncated_record_is_a_miss(tmp_path, keep):
+    cache = WorkloadCache(tmp_path)
+    cache.store(BENCH, "tiny", 7, load_benchmark(BENCH, scale="tiny", seed=7).kernel())
+    path = _record_path(cache)
+    path.write_bytes(path.read_bytes()[:keep])
+    assert cache.load(BENCH, "tiny", 7) is None
+    assert cache.misses == 1 and cache.hits == 0
 
 
 def test_disk_stats_and_prune(tmp_path):
